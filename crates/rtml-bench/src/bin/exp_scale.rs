@@ -1,4 +1,4 @@
-//! E11: cluster-scale macro-benchmark for the sharded global scheduler.
+//! E15: cluster-scale macro-benchmark for the sharded global scheduler.
 //!
 //! Drives a 32–64 node cluster (default 32, `RTML_SCALE_NODES`
 //! overrides, capped at 64) through a **mixed** workload — a wide
@@ -176,7 +176,7 @@ fn main() {
         active.len()
     );
 
-    println!("== E11: sharded-scheduler scale (mixed workload) ==");
+    println!("== E15: sharded-scheduler scale (mixed workload) ==");
     println!("nodes              {nodes}");
     println!("global shards      {shards}");
     println!("tasks              {tasks_total}");

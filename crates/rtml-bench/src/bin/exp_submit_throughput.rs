@@ -7,14 +7,15 @@
 //! frames) caps that rate. This experiment measures, per batch size in
 //! {1, 16, 256, 4096} and per submission mode:
 //!
-//! - **pipelined** (the default runtime configuration): the driver
-//!   blasts every batch; local-scheduler ingest is split into a cheap
-//!   accept stage and a deferred index stage, so the driver's
-//!   marshalling of batch N+1 overlaps the scheduler's ingest of batch
-//!   N. One drain barrier at the end.
-//! - **serialized**: pipelined ingest off, and the driver waits for
-//!   each batch to be fully indexed (state `Queued`) before submitting
-//!   the next — no overlap anywhere, the strict back-to-back baseline.
+//! - **pipelined**: the driver sends every batch without waiting. The
+//!   local scheduler ingests batch N while the driver marshals batch
+//!   N+1 into its mailbox. One drain barrier at the end.
+//! - **serialized**: the driver waits for each batch to be fully
+//!   ingested (state `Queued`) before submitting the next — no overlap
+//!   anywhere, the strict back-to-back baseline.
+//!
+//! Both modes run the same runtime; only the driver's behaviour
+//! differs.
 //!
 //! Reported per (size, mode): **tasks/sec** (wall clock from first
 //! submit until the scheduler has queued the whole budget), **kv
@@ -31,13 +32,14 @@
 //!
 //! Run: `cargo run -p rtml-bench --bin exp_submit_throughput --release`
 //!
-//! Results are also written to `BENCH_submit_throughput.json` so CI can
-//! track regressions mechanically (`tasks_per_sec` stays the pipelined
-//! curve — the shipping configuration — for continuity with earlier
-//! runs). `RTML_SUBMIT_TASKS` overrides the per-size task budget
-//! (default 16384); `RTML_SUBMIT_REPS` the repetitions per size
-//! (default 3, fresh cluster each, fastest kept — the standard
-//! minimum-of-N estimator). `TaskRequest`s are marshalled before the
+//! Results are also written to `BENCH_submit_throughput.json`, before
+//! any self-check asserts, so CI can track regressions mechanically and
+//! a failing run still leaves its numbers (`tasks_per_sec` stays the
+//! pipelined curve for continuity with earlier runs; `gates` holds each
+//! self-check's value, bound, and verdict). `RTML_SUBMIT_TASKS`
+//! overrides the per-size task budget (default 16384);
+//! `RTML_SUBMIT_REPS` the repetitions per size (default 3, fresh
+//! cluster each, fastest kept — the standard minimum-of-N estimator). `TaskRequest`s are marshalled before the
 //! clock starts for both modes, so the comparison stays
 //! apples-to-apples.
 
@@ -57,6 +59,14 @@ const DEFAULT_TASKS_PER_SIZE: usize = 16_384;
 enum Mode {
     Pipelined,
     Serialized,
+}
+
+/// One self-check, as recorded in the JSON.
+struct Gate {
+    name: &'static str,
+    value: f64,
+    bound: f64,
+    pass: bool,
 }
 
 struct Measurement {
@@ -146,46 +156,69 @@ fn main() {
         &rows,
     );
     println!(
-        "\n(time from first submit until the local scheduler has queued every\n task; execution is gated out. Serialized = pipelined ingest off and a\n per-batch drain barrier — no driver/ingest overlap. Overlap gain on a\n 1-core host is expected to hover near 1x: there is no second core for\n the ingest stage to run on)"
+        "\n(time from first submit until the local scheduler has queued every\n task; execution is gated out. Serialized = a per-batch drain barrier in\n the driver — no driver/ingest overlap. Overlap gain on a 1-core host is\n expected to hover near 1x: there is no second core for ingest to run on)"
     );
 
     // Self-checks. The structural claims hold everywhere; the overlap
-    // claim only where the hardware can express it.
+    // claim only where the hardware can express it. Every gate lands in
+    // the JSON before any of them asserts.
     let p4096 = pipelined.iter().find(|m| m.batch == 4096).unwrap();
     let s4096 = serialized.iter().find(|m| m.batch == 4096).unwrap();
-    assert!(
-        p4096.kv_locks_per_task <= 0.01,
-        "segment commit must keep batch-4096 ingest at or under 0.01 kv locks/task (got {:.4})",
-        p4096.kv_locks_per_task
-    );
-    // Rising with batch size, with a small tolerance at the top of the
-    // curve: on a 1-core host the 256→4096 step is already deep into
-    // diminishing returns and OS scheduling noise between the driver
-    // and scheduler threads can wiggle it a few percent either way.
-    assert!(
-        pipelined.windows(2).all(|w| w[1].rate > w[0].rate * 0.9),
-        "pipelined throughput must rise with batch size"
-    );
-    if cores >= 2 {
-        let gain = p4096.rate / s4096.rate;
-        assert!(
-            gain >= 1.5,
-            "on a {cores}-core host, pipelined submission must be >=1.5x serialized at batch 4096 (got {gain:.2}x)"
-        );
-    }
-
-    let json = render_json(tasks_per_size, cores, &pipelined, &serialized);
+    let gain = p4096.rate / s4096.rate;
+    let min_step = pipelined
+        .windows(2)
+        .map(|w| w[1].rate / w[0].rate)
+        .fold(f64::INFINITY, f64::min);
+    let gates = [
+        Gate {
+            name: "kv_locks_per_task_4096_max",
+            value: p4096.kv_locks_per_task,
+            bound: 0.01,
+            pass: p4096.kv_locks_per_task <= 0.01,
+        },
+        // Rising with batch size, with a small tolerance at the top of
+        // the curve: on a 1-core host the 256→4096 step is already deep
+        // into diminishing returns and OS scheduling noise between the
+        // driver and scheduler threads can wiggle it a few percent
+        // either way.
+        Gate {
+            name: "rate_step_vs_previous_batch_min",
+            value: min_step,
+            bound: 0.9,
+            pass: min_step > 0.9,
+        },
+        // Armed only where the hardware can express overlap.
+        Gate {
+            name: "overlap_gain_4096_min",
+            value: gain,
+            bound: 1.5,
+            pass: cores < 2 || gain >= 1.5,
+        },
+    ];
+    let json = render_json(tasks_per_size, cores, &pipelined, &serialized, &gates);
     let path = "BENCH_submit_throughput.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),
         Err(e) => eprintln!("\nfailed to write {path}: {e}"),
     }
-
     println!(
-        "batch=4096: pipelined {:.0} tasks/s vs serialized {:.0} tasks/s ({:.2}x) on {cores} core(s)",
-        p4096.rate,
-        s4096.rate,
-        p4096.rate / s4096.rate,
+        "batch=4096: pipelined {:.0} tasks/s vs serialized {:.0} tasks/s ({gain:.2}x) on {cores} core(s)",
+        p4096.rate, s4096.rate,
+    );
+
+    let [locks, rising, overlap] = &gates;
+    assert!(
+        locks.pass,
+        "segment commit must keep batch-4096 ingest at or under 0.01 kv locks/task (got {:.4})",
+        locks.value
+    );
+    assert!(
+        rising.pass,
+        "pipelined throughput must rise with batch size"
+    );
+    assert!(
+        overlap.pass,
+        "on a {cores}-core host, pipelined submission must be >=1.5x serialized at batch 4096 (got {gain:.2}x)"
     );
 }
 
@@ -199,8 +232,7 @@ fn measure(batch: usize, tasks_per_size: usize, mode: Mode) -> Measurement {
             spill: SpillMode::NeverSpill,
             ..ClusterConfig::local(1, 2)
         }
-        .with_event_log_retention(4096)
-        .with_pipelined_submission(mode == Mode::Pipelined),
+        .with_event_log_retention(4096),
     )
     .unwrap();
     let gated = cluster.register_fn2("gated_submit", |x: u64, _gate: u64| Ok(x));
@@ -300,6 +332,7 @@ fn render_json(
     cores: usize,
     pipelined: &[Measurement],
     serialized: &[Measurement],
+    gates: &[Gate],
 ) -> String {
     let base_rate = pipelined[0].rate;
     let field = |set: &[Measurement], f: &dyn Fn(&Measurement) -> String| -> String {
@@ -339,6 +372,17 @@ fn render_json(
     }));
     out.push_str("},\n  \"sched_messages\": {");
     out.push_str(&field(pipelined, &|m| m.sched_msgs.to_string()));
-    out.push_str("}\n}\n");
+    out.push_str("},\n  \"gates\": [");
+    let gates: Vec<String> = gates
+        .iter()
+        .map(|g| {
+            format!(
+                "\n    {{\"name\": \"{}\", \"value\": {:.4}, \"bound\": {}, \"pass\": {}}}",
+                g.name, g.value, g.bound, g.pass
+            )
+        })
+        .collect();
+    out.push_str(&gates.join(","));
+    out.push_str("\n  ]\n}\n");
     out
 }

@@ -172,19 +172,10 @@ pub enum EventKind {
         released: u32,
         micros: u64,
     },
-    /// A submission batch landed on the staging ring (the accept stage
-    /// of pipelined ingest). `depth` is the ring occupancy after the
-    /// push; `seq` correlates with the matching
-    /// [`EventKind::BatchIndexed`].
-    BatchStaged {
-        node: NodeId,
-        seq: u64,
-        tasks: u32,
-        depth: u32,
-    },
-    /// Staged batch `seq` was indexed (spill scan, group-committed
-    /// states, dependency gating); `micros` covers the index work. The
-    /// staged→indexed gap is the staging-ring residency span.
+    /// A local scheduler ingested submission batch `seq` (spill scan,
+    /// group-committed states, dependency gating); `micros` covers the
+    /// ingest work. Its timestamp closes the batch's submit→queued
+    /// span: mailbox wait plus ingest.
     BatchIndexed {
         node: NodeId,
         seq: u64,
@@ -236,7 +227,6 @@ impl EventKind {
             EventKind::StealRequested { .. } => "steal_requested",
             EventKind::StealRoundTrip { .. } => "steal_round_trip",
             EventKind::ReplicationSweep { .. } => "replication_sweep",
-            EventKind::BatchStaged { .. } => "batch_staged",
             EventKind::BatchIndexed { .. } => "batch_indexed",
         }
     }
@@ -393,18 +383,6 @@ impl Codec for EventKind {
                 w.put_u32(*released);
                 w.put_varint(*micros);
             }
-            EventKind::BatchStaged {
-                node,
-                seq,
-                tasks,
-                depth,
-            } => {
-                w.put_u8(22);
-                node.encode(w);
-                w.put_varint(*seq);
-                w.put_u32(*tasks);
-                w.put_u32(*depth);
-            }
             EventKind::BatchIndexed {
                 node,
                 seq,
@@ -521,12 +499,6 @@ impl Codec for EventKind {
                 placed: r.take_u32()?,
                 released: r.take_u32()?,
                 micros: r.take_varint()?,
-            },
-            22 => EventKind::BatchStaged {
-                node: NodeId::decode(r)?,
-                seq: r.take_varint()?,
-                tasks: r.take_u32()?,
-                depth: r.take_u32()?,
             },
             23 => EventKind::BatchIndexed {
                 node: NodeId::decode(r)?,
@@ -667,12 +639,6 @@ mod tests {
                 placed: 2,
                 released: 0,
                 micros: 300,
-            },
-            EventKind::BatchStaged {
-                node: n,
-                seq: 5,
-                tasks: 256,
-                depth: 3,
             },
             EventKind::BatchIndexed {
                 node: n,

@@ -254,10 +254,10 @@ impl Caller {
         // the funnel; worker (nested) submissions always ingest at home,
         // where their argument objects already live. The spec's
         // `submitter_node` records the ingest target so the kill-node
-        // repair scan covers a batch lost in the target's mailbox or
-        // staging ring. Ids are producer-embedded and placement ignores
-        // the submitter, so striping never moves *what runs where* —
-        // only which scheduler does the ingest bookkeeping.
+        // repair scan covers a batch lost in the target's mailbox. Ids
+        // are producer-embedded and placement ignores the submitter, so
+        // striping never moves *what runs where* — only which scheduler
+        // does the ingest bookkeeping.
         let stripe_index = (inner.component == Component::Driver)
             .then(|| inner.batch_counter.fetch_add(1, Ordering::Relaxed));
         let ingest = match stripe_index {

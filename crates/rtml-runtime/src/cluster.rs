@@ -107,14 +107,6 @@ pub struct ClusterConfig {
     /// submitting node, so results and placements are identical with
     /// striping on or off.
     pub submit_striping: usize,
-    /// Pipelined submission ingest in the local schedulers: batches are
-    /// accepted synchronously and indexed while the driver marshals the
-    /// next batch. Changes only *when* ingest work happens, never
-    /// values or placements.
-    pub pipelined_submission: bool,
-    /// Staging-ring depth for pipelined ingest: how many accepted
-    /// batches may wait unindexed before an accept forces a flush.
-    pub submit_staging_depth: usize,
     /// Per-node telemetry sampling: every node's plane counters are
     /// registered on a [`rtml_common::metrics::MetricsRegistry`] and a
     /// sampler thread group-commits periodic snapshots to the kv-backed
@@ -157,8 +149,6 @@ impl Default for ClusterConfig {
             global_host: 0,
             global_shards: 1,
             submit_striping: 1,
-            pipelined_submission: true,
-            submit_staging_depth: 4,
             telemetry: crate::telemetry::TelemetryConfig::default(),
             faults: rtml_net::FaultPlan::default(),
             retry: rtml_common::RetryPolicy::default(),
@@ -242,18 +232,6 @@ impl ClusterConfig {
     /// Sets the driver-side submission stripe width builder-style.
     pub fn with_submit_striping(mut self, nodes: usize) -> Self {
         self.submit_striping = nodes;
-        self
-    }
-
-    /// Enables or disables pipelined submission ingest builder-style.
-    pub fn with_pipelined_submission(mut self, pipelined: bool) -> Self {
-        self.pipelined_submission = pipelined;
-        self
-    }
-
-    /// Sets the ingest staging-ring depth builder-style.
-    pub fn with_submit_staging_depth(mut self, depth: usize) -> Self {
-        self.submit_staging_depth = depth;
         self
     }
 
@@ -351,8 +329,6 @@ impl Cluster {
             prefetch: config.prefetch,
             replication: config.replication.clone(),
             stealing: config.stealing.clone(),
-            pipelined_ingest: config.pipelined_submission,
-            staging_depth: config.submit_staging_depth,
             telemetry: config.telemetry.clone(),
             retry: config.retry.clone(),
         };

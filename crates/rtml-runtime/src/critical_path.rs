@@ -6,8 +6,8 @@
 //! task's dependency chain backwards picking, at every step, the input
 //! whose producer finished last (the binding constraint), then walk the
 //! chain forwards attributing every nanosecond of the end-to-end span
-//! to one of five buckets: **staging** (submission + staging-ring
-//! residency), **placement** (global-scheduler spill decisions),
+//! to one of five buckets: **staging** (submission, then submit→queued:
+//! local-scheduler mailbox wait plus batch ingest), **placement** (global-scheduler spill decisions),
 //! **queue** (runnable but waiting for a worker), **transfer** (waiting
 //! on remote inputs), and **execution**.
 //!
@@ -40,7 +40,8 @@ pub struct CriticalPath {
     /// When the sink's last recorded timestamp is — normally its
     /// finish.
     pub end_nanos: u64,
-    /// Submission + staging-ring residency (accept→index) time.
+    /// Submission plus submit→queued time (local-scheduler mailbox wait
+    /// and batch ingest).
     pub staging_nanos: u64,
     /// Global-scheduler placement time (spilled chain links only).
     pub placement_nanos: u64,
@@ -180,8 +181,8 @@ pub fn critical_path(
             }
         };
         // Pred-finish → submit is control-plane/submission time; it and
-        // submit → queue (the staging-ring residency) share the
-        // staging bucket. Spilled links split out the global
+        // submit → queue (mailbox wait plus ingest) share the staging
+        // bucket. Spilled links split out the global
         // scheduler's share.
         step(profile.submitted, &mut path.staging_nanos, &mut cursor);
         step(profile.placed, &mut path.placement_nanos, &mut cursor);

@@ -108,13 +108,6 @@ pub struct NodeTuning {
     /// Shared retry discipline for replication pulls (see
     /// [`rtml_common::retry`]).
     pub retry: rtml_common::retry::RetryPolicy,
-    /// Pipelined batch ingest in local schedulers: accept batches
-    /// synchronously, index them while the submitter marshals its next
-    /// batch (see [`rtml_sched::LocalSchedulerConfig`]).
-    pub pipelined_ingest: bool,
-    /// Staging-ring depth for pipelined ingest (accepted-but-unindexed
-    /// batches before an accept forces a flush).
-    pub staging_depth: usize,
     /// Per-node telemetry sampling (see [`crate::telemetry`]).
     pub telemetry: crate::telemetry::TelemetryConfig,
 }
@@ -371,8 +364,6 @@ impl NodeRuntime {
                 load_interval: tuning.load_interval,
                 prefetch: tuning.prefetch,
                 stealing: tuning.stealing.clone(),
-                pipelined_ingest: tuning.pipelined_ingest,
-                staging_depth: tuning.staging_depth,
             },
             sched_services,
             handles,

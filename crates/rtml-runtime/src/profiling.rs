@@ -264,15 +264,12 @@ pub struct ProfileReport {
     /// Steal grants recorded in the event log (`TaskStolen` records —
     /// the events-based mirror of `steal.tasks_granted`).
     pub steal_events: usize,
-    /// Plane-operation spans (segment commits, placement batches, steal
-    /// round trips, staged-batch indexing, transfers, replication
-    /// sweeps), in log order.
+    /// Plane-operation spans (segment commits, batch ingest, placement
+    /// batches, steal round trips, transfers, replication sweeps), in
+    /// log order.
     pub spans: Vec<PlaneSpan>,
     /// Failures, reconstructions, and node losses, in log order.
     pub incidents: Vec<Incident>,
-    /// Staging-ring occupancy samples `(at_nanos, node, depth)` — one
-    /// per accepted batch, rendered as a Chrome-trace counter track.
-    pub staging_occupancy: Vec<(u64, NodeId, u32)>,
     /// Event records the bounded log dropped to stay within retention
     /// (populated by [`crate::Cluster::profile`]; zero for raw event
     /// folds). When nonzero the report is partial: timelines may be
@@ -382,11 +379,6 @@ impl ProfileReport {
                         ("released", u64::from(*released)),
                     ],
                 }),
-                EventKind::BatchStaged { node, depth, .. } => {
-                    report
-                        .staging_occupancy
-                        .push((event.at_nanos, *node, *depth));
-                }
                 EventKind::BatchIndexed {
                     node,
                     seq,
@@ -397,7 +389,7 @@ impl ProfileReport {
                     node: *node,
                     end_nanos: event.at_nanos,
                     micros: *micros,
-                    label: format!("index batch {seq}"),
+                    label: format!("ingest batch {seq}"),
                     args: vec![("tasks", u64::from(*tasks)), ("seq", *seq)],
                 }),
                 _ => {}
@@ -566,10 +558,9 @@ impl ProfileReport {
     ///   whose `TaskStarted` fell to retention) are skipped rather than
     ///   invented onto a fake worker;
     /// - per-plane duration slices on dedicated lanes (tid 1000+, named
-    ///   via thread-name metadata): segment commits, staged-batch
-    ///   indexing, placement batches, steal round trips, transfers,
-    ///   replication sweeps;
-    /// - a counter track (`ph:"C"`) for staging-ring occupancy;
+    ///   via thread-name metadata): segment commits, batch ingest on
+    ///   the `staging` lane, placement batches, steal round trips,
+    ///   transfers, replication sweeps;
     /// - flow arrows (`ph:"s"`/`"t"`/`"f"`) stitching each task's
     ///   submit → queue → place/steal → start across nodes;
     /// - instant markers (`ph:"i"`) for failures, reconstructions, and
@@ -671,15 +662,6 @@ impl ProfileReport {
                 span.micros,
                 span.node.0,
                 lane(span.plane),
-            ));
-        }
-
-        // Staging-ring occupancy counter.
-        for (at_nanos, node, depth) in &self.staging_occupancy {
-            records.push(format!(
-                "{{\"name\":\"staging-depth\",\"ph\":\"C\",\"ts\":{},\"pid\":{},\"tid\":0,\"args\":{{\"depth\":{depth}}}}}",
-                at_nanos / 1_000,
-                node.0,
             ));
         }
 
@@ -943,7 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_renders_plane_spans_counters_and_instants() {
+    fn chrome_trace_renders_plane_spans_and_instants() {
         let root = TaskId::driver_root(DriverId::from_index(0));
         let t = root.child(0);
         let events = vec![
@@ -955,16 +937,6 @@ mod tests {
                     seq: 1,
                     tasks: 64,
                     micros: 1_000,
-                },
-            },
-            Event {
-                at_nanos: 6_000_000,
-                component: Component::LocalScheduler,
-                kind: EventKind::BatchStaged {
-                    node: NodeId(0),
-                    seq: 1,
-                    tasks: 64,
-                    depth: 2,
                 },
             },
             Event {
@@ -1029,11 +1001,10 @@ mod tests {
         for plane in ["control", "staging", "placement", "steal", "replication"] {
             assert!(planes.contains(plane), "missing plane {plane}");
         }
-        assert_eq!(report.staging_occupancy, vec![(6_000_000, NodeId(0), 2)]);
         assert_eq!(report.incidents.len(), 2);
         let json = report.chrome_trace();
         assert!(json.contains("\"name\":\"thread_name\""), "{json}");
-        assert!(json.contains("\"ph\":\"C\""), "{json}");
+        assert!(json.contains("\"name\":\"ingest batch 1\""), "{json}");
         assert!(json.contains("\"ph\":\"i\""), "{json}");
         assert!(json.contains("\"name\":\"segment 1\""), "{json}");
         assert!(json.contains("node_lost"), "{json}");

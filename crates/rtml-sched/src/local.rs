@@ -70,20 +70,6 @@ pub struct LocalSchedulerConfig {
     /// *where tasks run*, never values — checksums are identical with
     /// it on or off.
     pub stealing: StealConfig,
-    /// Pipelined ingest: batch submissions are *accepted* synchronously
-    /// (one mailbox pop, one push onto a staging ring) and *indexed*
-    /// (spill decisions, dependency gating, group-committed state
-    /// writes) on subsequent loop turns, so the driver's marshalling of
-    /// the next batch overlaps this node's ingest of the previous one.
-    /// Staged work drains before the mailbox goes idle and before
-    /// shutdown, and every batch is indexed in arrival order, so
-    /// values, placements, and `wait` semantics are unchanged — only
-    /// *when* ingest work happens moves.
-    pub pipelined_ingest: bool,
-    /// How many accepted-but-unindexed batches may accumulate before an
-    /// accept forces a flush of the oldest (bounds staged memory and
-    /// ingest latency under sustained submission pressure).
-    pub staging_depth: usize,
 }
 
 impl Default for LocalSchedulerConfig {
@@ -96,8 +82,6 @@ impl Default for LocalSchedulerConfig {
             load_interval: Duration::from_millis(1),
             prefetch: true,
             stealing: StealConfig::default(),
-            pipelined_ingest: true,
-            staging_depth: 4,
         }
     }
 }
@@ -282,9 +266,7 @@ impl LocalScheduler {
                     steal_hint_at: Instant::now() - Duration::from_secs(1),
                     steal_rng: PolicyState::new(0x57ea1 ^ ((node.0 as u64) << 32)),
                     stolen_pending: FastMap::default(),
-                    staging: VecDeque::new(),
-                    staging_seq: 0,
-                    staged_tasks: 0,
+                    batch_seq: 0,
                 };
                 for w in workers {
                     core.add_worker(w);
@@ -309,9 +291,6 @@ enum Incoming {
     Net(bytes::Bytes),
     Seal(ObjectId),
     Tick,
-    /// The mailbox is momentarily idle and staged batches exist: index
-    /// one (the deferred half of pipelined ingest).
-    Drain,
     Closed,
 }
 
@@ -376,16 +355,9 @@ struct Core {
     /// Stolen tasks not yet dispatched: grant-arrival instants for the
     /// steal-to-run latency histogram.
     stolen_pending: FastMap<TaskId, Instant>,
-    /// Accepted-but-unindexed batches (pipelined ingest): each entry is
-    /// `(seq, specs, via_global)`, flushed FIFO so indexing order
-    /// equals arrival order. The seq correlates each batch's
-    /// `BatchStaged`/`BatchIndexed` span events.
-    staging: VecDeque<(u64, Vec<TaskSpec>, bool)>,
-    /// Next staging-batch sequence number.
-    staging_seq: u64,
-    /// Total tasks across `staging`, reported as `waiting` load so
-    /// peers see accepted-but-unindexed backlog.
-    staged_tasks: usize,
+    /// Next ingest-batch sequence number, carried by each batch's
+    /// `BatchIndexed` span.
+    batch_seq: u64,
 }
 
 /// The thief's outstanding steal request (see `Core::steal_inflight`).
@@ -405,27 +377,13 @@ impl Core {
         seal_rx: Receiver<ObjectId>,
     ) {
         loop {
-            // With staged batches pending, never sleep: take whatever
-            // message is already here, else index one staged batch
-            // immediately. With none, the usual timed idle tick.
-            let incoming = if self.staging.is_empty() {
-                crossbeam::channel::select! {
-                    recv(rx) -> m => m.map(Incoming::Local).unwrap_or(Incoming::Closed),
-                    recv(endpoint.receiver()) -> d => d
-                        .map(|d| Incoming::Net(d.payload))
-                        .unwrap_or(Incoming::Closed),
-                    recv(seal_rx) -> o => o.map(Incoming::Seal).unwrap_or(Incoming::Closed),
-                    default(self.config.load_interval) => Incoming::Tick,
-                }
-            } else {
-                crossbeam::channel::select! {
-                    recv(rx) -> m => m.map(Incoming::Local).unwrap_or(Incoming::Closed),
-                    recv(endpoint.receiver()) -> d => d
-                        .map(|d| Incoming::Net(d.payload))
-                        .unwrap_or(Incoming::Closed),
-                    recv(seal_rx) -> o => o.map(Incoming::Seal).unwrap_or(Incoming::Closed),
-                    default(Duration::ZERO) => Incoming::Drain,
-                }
+            let incoming = crossbeam::channel::select! {
+                recv(rx) -> m => m.map(Incoming::Local).unwrap_or(Incoming::Closed),
+                recv(endpoint.receiver()) -> d => d
+                    .map(|d| Incoming::Net(d.payload))
+                    .unwrap_or(Incoming::Closed),
+                recv(seal_rx) -> o => o.map(Incoming::Seal).unwrap_or(Incoming::Closed),
+                default(self.config.load_interval) => Incoming::Tick,
             };
             match incoming {
                 Incoming::Local(LocalMsg::Shutdown) | Incoming::Closed => break,
@@ -433,16 +391,11 @@ impl Core {
                 Incoming::Net(payload) => self.on_net(payload),
                 Incoming::Seal(object) => self.on_sealed(object),
                 Incoming::Tick => {}
-                Incoming::Drain => self.flush_one_staged(),
             }
             self.dispatch();
             self.maybe_steal();
             self.maybe_publish_load();
         }
-        // Staged submissions must not die with the loop: index them so
-        // their specs' states (and any spill decisions) are durable
-        // before the drain barrier below.
-        self.flush_staging();
         // Drain: stop workers, deregister from the fabric.
         for (_, tx) in self.workers.drain() {
             let _ = tx.send(WorkerCommand::Stop);
@@ -527,11 +480,6 @@ impl Core {
         let cfg = &self.config.stealing;
         if !cfg.enabled || !self.ready.is_empty() || self.idle.is_empty() || self.workers.is_empty()
         {
-            return;
-        }
-        // Accepted-but-unindexed local work exists: index it before
-        // pulling remote work.
-        if !self.staging.is_empty() {
             return;
         }
         if let Some(inflight) = &self.steal_inflight {
@@ -918,76 +866,32 @@ impl Core {
     /// which must not spill again (except when the node genuinely can
     /// never satisfy the demand — stale capacity information).
     ///
-    /// With pipelined ingest on, this is only the cheap *accept* stage:
-    /// the batch lands on the staging ring and the expensive *index*
-    /// stage ([`Core::ingest_batch`]) runs on a later loop turn — while
-    /// the submitter is already marshalling its next batch. Batches
-    /// flush FIFO, so indexing order (and thus every spill decision and
-    /// state write) is identical to the serialized path.
+    /// Ingest runs inline on the scheduler thread. The driver overlaps
+    /// with it through the unbounded mailbox: it marshals and sends its
+    /// next batch while this one is ingested. One `BatchIndexed` span
+    /// per batch records the ingest time.
     fn on_submit_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
-        if !self.config.pipelined_ingest {
-            self.ingest_batch(specs, via_global);
-            return;
-        }
-        let seq = self.staging_seq;
-        self.staging_seq += 1;
-        self.staged_tasks += specs.len();
-        // Open the staging span: BatchIndexed with the same seq closes
-        // it when the index stage runs. `depth` is the ring occupancy
-        // including this batch — the pipelining backlog signal.
+        let seq = self.batch_seq;
+        self.batch_seq += 1;
+        let tasks = specs.len() as u32;
+        let started = Instant::now();
+        self.ingest_batch(specs, via_global);
         self.services.events.append(
             self.config.node,
             Event::now(
                 Component::LocalScheduler,
-                EventKind::BatchStaged {
+                EventKind::BatchIndexed {
                     node: self.config.node,
                     seq,
-                    tasks: specs.len() as u32,
-                    depth: (self.staging.len() + 1) as u32,
+                    tasks,
+                    micros: started.elapsed().as_micros() as u64,
                 },
             ),
         );
-        self.staging.push_back((seq, specs, via_global));
-        self.load_dirty = true;
-        if self.staging.len() > self.config.staging_depth.max(1) {
-            self.flush_one_staged();
-        }
     }
 
-    /// Indexes the oldest staged batch (the deferred half of pipelined
-    /// ingest). One batch per call keeps mailbox latency bounded: a
-    /// worker-done or seal message never waits behind the whole ring.
-    fn flush_one_staged(&mut self) {
-        if let Some((seq, specs, via_global)) = self.staging.pop_front() {
-            self.staged_tasks = self.staged_tasks.saturating_sub(specs.len());
-            let tasks = specs.len() as u32;
-            let started = Instant::now();
-            self.ingest_batch(specs, via_global);
-            self.services.events.append(
-                self.config.node,
-                Event::now(
-                    Component::LocalScheduler,
-                    EventKind::BatchIndexed {
-                        node: self.config.node,
-                        seq,
-                        tasks,
-                        micros: started.elapsed().as_micros() as u64,
-                    },
-                ),
-            );
-        }
-    }
-
-    /// Indexes every staged batch, FIFO — the drain barrier used before
-    /// shutdown.
-    fn flush_staging(&mut self) {
-        while !self.staging.is_empty() {
-            self.flush_one_staged();
-        }
-    }
-
-    /// The index stage of batch ingest: spill decisions, dependency
-    /// gating, group-committed state writes, event appends, and missing
+    /// The work of batch ingest: spill decisions, dependency gating,
+    /// group-committed state writes, event appends, and missing
     /// dependency resolution for one batch.
     fn ingest_batch(&mut self, specs: Vec<TaskSpec>, via_global: bool) {
         let node = self.config.node;
@@ -1400,7 +1304,7 @@ impl Core {
             node: self.config.node,
             sched_address: self.address.as_u64(),
             ready: self.ready.len() as u32,
-            waiting: (self.waiting.len() + self.staged_tasks) as u32,
+            waiting: self.waiting.len() as u32,
             running: self.running.len() as u32,
             idle_workers: self.idle.len() as u32,
             available: self.config.total_resources.saturating_sub(&self.in_use),
@@ -1703,10 +1607,13 @@ mod tests {
         };
         let (worker_tx, worker_rx) = unbounded();
         let worker_id = WorkerId::new(config.node, 0);
-        let mut workers = vec![WorkerHandle {
-            id: worker_id,
-            tx: worker_tx,
-        }];
+        let mut workers = Vec::new();
+        if n_workers > 0 {
+            workers.push(WorkerHandle {
+                id: worker_id,
+                tx: worker_tx,
+            });
+        }
         for i in 1..n_workers {
             let (tx, rx) = unbounded();
             // Extra workers silently discard commands.
@@ -1780,6 +1687,46 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         r.handle.shutdown();
+    }
+
+    #[test]
+    fn batch_ingest_appends_queued_events_and_one_span() {
+        const N: u64 = 8;
+        let mut r = rig_with_workers(
+            LocalSchedulerConfig {
+                total_resources: Resources::cpu(8.0),
+                spill: SpillMode::NeverSpill,
+                ..LocalSchedulerConfig::default()
+            },
+            0,
+        );
+        let specs: Vec<TaskSpec> = (0..N).map(|i| spec_with(vec![], i)).collect();
+        r.handle.submit_batch(specs.clone());
+        // Shutdown is queued behind the batch, so ingest has finished
+        // once the scheduler thread is joined.
+        r.handle.shutdown();
+        let events = r.services.events.read(NodeId(0), Component::LocalScheduler);
+        let queued: Vec<TaskId> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::TaskQueuedLocal { task, .. } => Some(task),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(queued, specs.iter().map(|s| s.task_id).collect::<Vec<_>>());
+        let spans: Vec<&EventKind> = events
+            .iter()
+            .map(|e| &e.kind)
+            .filter(|k| matches!(k, EventKind::BatchIndexed { .. }))
+            .collect();
+        assert!(
+            matches!(
+                spans[..],
+                [EventKind::BatchIndexed { seq: 0, tasks, .. }] if *tasks == N as u32
+            ),
+            "{spans:?}"
+        );
+        assert_eq!(events.len(), N as usize + 1, "{events:?}");
     }
 
     #[test]

@@ -25,8 +25,7 @@
 //! ([`StoreConfig::chunk_bytes`]) and coalescing multi-object requests
 //! into one reply stream — while a per-node [`transfer::FetchAgent`]
 //! issues requests from one persistent endpoint, reassembles chunks,
-//! and single-flights concurrent fetches of the same object. The
-//! standalone [`transfer::fetch_object`] remains for one-shot use.
+//! and single-flights concurrent fetches of the same object.
 //!
 //! Hot objects are handled by [`replicate`], the replication plane: the
 //! transfer service counts per-object remote-read demand, and a
@@ -48,6 +47,4 @@ pub use replicate::{
 pub use store::{
     ObjectStore, PutOutcome, ReplicaProbe, StoreConfig, StoreStats, DEFAULT_CHUNK_BYTES,
 };
-pub use transfer::{
-    fetch_object, FetchAgent, FetchStats, TransferDirectory, TransferService, TransferStats,
-};
+pub use transfer::{FetchAgent, FetchStats, TransferDirectory, TransferService, TransferStats};

@@ -22,11 +22,6 @@
 //! a single propagation-delay sample plus the bandwidth term for the
 //! total size, delivered as ⌈size/chunk⌉ frames per object and
 //! reassembled at the receiver.
-//!
-//! [`fetch_object`] remains as the standalone one-shot form (tests,
-//! benches): it registers an ephemeral reply endpoint whose
-//! registration is scoped to an RAII guard, so it cannot leak on any
-//! exit path.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -682,122 +677,6 @@ fn agent_loop(inner: Arc<AgentInner>, endpoint: rtml_net::Endpoint) {
     }
 }
 
-/// Pulls `object` from one of `holders` into `local`, blocking up to
-/// `timeout` per attempted holder.
-///
-/// The standalone one-shot form of the protocol (tests, benches): it
-/// registers an **ephemeral** reply endpoint scoped to an RAII guard —
-/// unregistration is unconditional on every exit path, so repeated
-/// calls leave the fabric's endpoint table exactly as they found it.
-/// Runtime components use the per-node [`FetchAgent`] instead, which
-/// keeps one persistent endpoint and single-flights duplicates.
-///
-/// Holder choice uses the same deterministic rendezvous ranking of
-/// `(object, reader)` as the agent paths — not simply the first listed
-/// location — so one-shot readers of a replicated object spread across
-/// holders too, and remaining holders are retried in rank order when
-/// one is unreachable.
-///
-/// On success the object is sealed into `local`; the outcome reports any
-/// evictions the insertion caused. Fails with the **last** holder's
-/// error: [`Error::ObjectNotFound`] if no holder had the object and
-/// [`Error::Timeout`] if the request or response was lost (e.g. a
-/// partition) or too slow.
-pub fn fetch_object(
-    fabric: &Arc<Fabric>,
-    directory: &TransferDirectory,
-    local: &ObjectStore,
-    object: ObjectId,
-    holders: &[NodeId],
-    timeout: Duration,
-) -> Result<(Bytes, PutOutcome)> {
-    let me = local.node();
-    let ranked = rtml_common::ids::rendezvous_rank(
-        object,
-        me.0 as u64,
-        holders.iter().copied().filter(|n| *n != me),
-    );
-    let mut last_err = Error::ObjectNotFound(object);
-    for holder in ranked {
-        match fetch_object_from(fabric, directory, local, object, holder, timeout) {
-            Ok(done) => return Ok(done),
-            Err(err) => last_err = err,
-        }
-    }
-    Err(last_err)
-}
-
-/// One attempt of [`fetch_object`] against a specific holder.
-fn fetch_object_from(
-    fabric: &Arc<Fabric>,
-    directory: &TransferDirectory,
-    local: &ObjectStore,
-    object: ObjectId,
-    holder: NodeId,
-    timeout: Duration,
-) -> Result<(Bytes, PutOutcome)> {
-    let remote = directory.lookup(holder).ok_or(Error::NodeDown(holder))?;
-    // Ephemeral reply endpoint for this fetch; the guard unregisters it
-    // no matter how this function returns.
-    let reply = fabric.register_guarded(local.node(), "fetch-reply");
-    let request = TransferMsg::Request {
-        objects: vec![object],
-        reply_to: reply.address().as_u64(),
-    };
-    fabric.send(reply.address(), remote, encode_to_bytes(&request))?;
-
-    let deadline = Instant::now() + timeout;
-    let mut chunks: Vec<Option<Bytes>> = Vec::new();
-    let mut received = 0usize;
-    let data = loop {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(Error::Timeout);
-        }
-        let Ok(delivery) = reply.receiver().recv_timeout(deadline - now) else {
-            return Err(Error::Timeout);
-        };
-        match decode_from_slice::<TransferMsg>(&delivery.payload) {
-            Ok(TransferMsg::Chunk {
-                object: got,
-                index,
-                total,
-                payload,
-            }) if got == object => {
-                let total = total.max(1) as usize;
-                let index = index as usize;
-                if index >= total {
-                    continue;
-                }
-                if chunks.len() != total {
-                    chunks = vec![None; total];
-                    received = 0;
-                }
-                if chunks[index].is_none() {
-                    chunks[index] = Some(payload);
-                    received += 1;
-                }
-                if received == total {
-                    let mut buf =
-                        Vec::with_capacity(chunks.iter().map(|c| c.as_ref().unwrap().len()).sum());
-                    for chunk in &chunks {
-                        buf.extend_from_slice(chunk.as_ref().unwrap());
-                    }
-                    break Bytes::from(buf);
-                }
-            }
-            Ok(TransferMsg::Missing { object: got }) if got == object => {
-                return Err(Error::ObjectNotFound(object));
-            }
-            // Stale or foreign frame; keep waiting.
-            _ => continue,
-        }
-    };
-
-    let outcome = local.put(object, data.clone())?;
-    Ok((data, outcome))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,16 +759,11 @@ mod tests {
     #[test]
     fn fetch_moves_object() {
         let (fabric, directory, store0, store1, _s0, _s1) = setup(100);
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         store0.put(obj(1), Bytes::from_static(b"payload")).unwrap();
-        let (data, outcome) = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        let (data, outcome) = agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         assert_eq!(&data[..], b"payload");
         assert!(outcome.inserted);
         assert!(store1.contains(obj(1)));
@@ -900,15 +774,10 @@ mod tests {
     #[test]
     fn fetch_missing_object_errors() {
         let (fabric, directory, _store0, store1, s0, _s1) = setup(0);
-        let err = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(9),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap_err();
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
+        let err = agent
+            .fetch_one(obj(9), NodeId(0), Duration::from_secs(5))
+            .unwrap_err();
         assert_eq!(err, Error::ObjectNotFound(obj(9)));
         assert_eq!(s0.stats().misses.get(), 1);
     }
@@ -916,92 +785,36 @@ mod tests {
     #[test]
     fn fetch_from_unknown_node_errors() {
         let (fabric, directory, _store0, store1, _s0, _s1) = setup(0);
-        let err = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(7)],
-            Duration::from_secs(1),
-        )
-        .unwrap_err();
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
+        let err = agent
+            .fetch_one(obj(1), NodeId(7), Duration::from_secs(1))
+            .unwrap_err();
         assert_eq!(err, Error::NodeDown(NodeId(7)));
     }
 
     #[test]
     fn fetch_times_out_under_partition() {
         let (fabric, directory, store0, store1, _s0, _s1) = setup(0);
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
         fabric.partition(NodeId(0), NodeId(1));
-        let err = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_millis(50),
-        )
-        .unwrap_err();
+        let err = agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_millis(50))
+            .unwrap_err();
         assert_eq!(err, Error::Timeout);
     }
 
     #[test]
     fn fetch_pays_fabric_latency() {
         let (fabric, directory, store0, store1, _s0, _s1) = setup(5_000); // 5 ms per hop
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
         let start = std::time::Instant::now();
-        fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         // Request + response = 2 hops ≥ 10 ms.
         assert!(start.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn ephemeral_fetch_endpoints_never_leak() {
-        // Regression for the fetch-reply endpoint leak: success, miss,
-        // and timeout paths must all leave the endpoint table unchanged.
-        let (fabric, directory, store0, store1, _s0, _s1) = setup(0);
-        store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
-        let base = fabric.endpoint_count();
-        for _ in 0..16 {
-            fetch_object(
-                &fabric,
-                &directory,
-                &store1,
-                obj(1),
-                &[NodeId(0)],
-                Duration::from_secs(5),
-            )
-            .unwrap();
-            store1.delete(obj(1));
-            let _ = fetch_object(
-                &fabric,
-                &directory,
-                &store1,
-                obj(9),
-                &[NodeId(0)],
-                Duration::from_secs(5),
-            )
-            .unwrap_err();
-        }
-        fabric.partition(NodeId(0), NodeId(1));
-        let _ = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_millis(20),
-        )
-        .unwrap_err();
-        assert_eq!(fabric.endpoint_count(), base);
     }
 
     #[test]
@@ -1177,6 +990,7 @@ mod tests {
     #[test]
     fn service_counts_decode_errors_and_stays_alive() {
         let (fabric, directory, store0, store1, s0, _s1) = setup(0);
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         store0.put(obj(1), Bytes::from_static(b"x")).unwrap();
         let remote = directory.lookup(NodeId(0)).unwrap();
         let probe = fabric.register_guarded(NodeId(1), "probe");
@@ -1184,15 +998,9 @@ mod tests {
             .send(probe.address(), remote, Bytes::from_static(b"\xff garbage"))
             .unwrap();
         // The service must survive garbage and keep serving.
-        let (data, _) = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        let (data, _) = agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         assert_eq!(&data[..], b"x");
         assert_eq!(s0.stats().decode_errors.get(), 1);
     }
@@ -1203,17 +1011,12 @@ mod tests {
         // object be evicted out from under the snapshot. We exercise the
         // pin bracket directly through a serve while the store is full.
         let (fabric, directory, store0, store1, _s0, _s1) = setup_chunked(0, 64);
+        let agent = FetchAgent::spawn(fabric.clone(), store1.clone(), directory.clone());
         let payload = Bytes::from(vec![9u8; 512]);
         store0.put(obj(1), payload.clone()).unwrap();
-        let (data, _) = fetch_object(
-            &fabric,
-            &directory,
-            &store1,
-            obj(1),
-            &[NodeId(0)],
-            Duration::from_secs(5),
-        )
-        .unwrap();
+        let (data, _) = agent
+            .fetch_one(obj(1), NodeId(0), Duration::from_secs(5))
+            .unwrap();
         assert_eq!(data, payload);
         // The pin was released after the serve: the object is evictable
         // again under pressure.
